@@ -36,7 +36,7 @@ func benchSystem(b *testing.B, n int) (*eden.System, []*eden.Node) {
 		}
 	}
 	tm := eden.NewType("bench.echo")
-	tm.Op(eden.Operation{Name: "echo", ReadOnly: true, Handler: func(c *eden.Call) { c.Return(c.Data) }})
+	tm.Op(eden.Operation{Name: "echo", Access: eden.AccessRead, Handler: func(c *eden.Call) { c.Return(c.Data) }})
 	tm.Op(eden.Operation{Name: "store", Handler: func(c *eden.Call) {
 		_ = c.Self().Update(func(r *eden.Representation) error {
 			r.SetData("state", c.Data)
@@ -388,7 +388,7 @@ func BenchmarkEFSContendedHotFile(b *testing.B) {
 func benchDispatchDepth(b *testing.B, depth int) {
 	sys, nodes := benchSystem(b, 1)
 	root := eden.NewType("bench.d0")
-	root.Op(eden.Operation{Name: "op", ReadOnly: true, Handler: func(c *eden.Call) {}})
+	root.Op(eden.Operation{Name: "op", Access: eden.AccessRead, Handler: func(c *eden.Call) {}})
 	if err := sys.RegisterType(root); err != nil {
 		b.Fatal(err)
 	}
@@ -433,7 +433,7 @@ func benchPagedInvoke(b *testing.B, budgetFraction float64) {
 		b.Fatal(err)
 	}
 	tm := eden.NewType("bench.page")
-	tm.Op(eden.Operation{Name: "echo", ReadOnly: true, Handler: func(c *eden.Call) {}})
+	tm.Op(eden.Operation{Name: "echo", Access: eden.AccessRead, Handler: func(c *eden.Call) {}})
 	tm.Op(eden.Operation{Name: "store", Handler: func(c *eden.Call) {
 		_ = c.Self().Update(func(r *eden.Representation) error {
 			r.SetData("state", c.Data)

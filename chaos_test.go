@@ -114,8 +114,8 @@ func runChaos(t *testing.T, seed int64) {
 		},
 	})
 	tm.Op(Operation{
-		Name:     "get",
-		ReadOnly: true,
+		Name:   "get",
+		Access: AccessRead,
 		Handler: func(c *Call) {
 			c.Self().View(func(r *Representation) {
 				b, _ := r.Data("n")

@@ -44,9 +44,9 @@ type BenchResult struct {
 func benchType() *eden.TypeManager {
 	tm := eden.NewType("benchmark")
 	tm.Op(eden.Operation{
-		Name:     "ping",
-		ReadOnly: true,
-		Handler:  func(c *eden.Call) { c.Return(c.Data) },
+		Name:    "ping",
+		Access:  eden.AccessRead,
+		Handler: func(c *eden.Call) { c.Return(c.Data) },
 	})
 	return tm
 }

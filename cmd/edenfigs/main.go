@@ -74,7 +74,7 @@ func buildPrototype() (*eden.System, []*eden.Node, eden.Capability) {
 	// populated: representation segments, a supertype, invocation
 	// classes, live short-term state.
 	base := eden.NewType("stored-object")
-	base.Op(eden.Operation{Name: "describe", ReadOnly: true, Handler: func(c *eden.Call) {}})
+	base.Op(eden.Operation{Name: "describe", Access: eden.AccessRead, Handler: func(c *eden.Call) {}})
 	demo := eden.NewType("mailbox")
 	demo.Extends = "stored-object"
 	demo.Limit("deliver", 1)
@@ -89,7 +89,7 @@ func buildPrototype() (*eden.System, []*eden.Node, eden.Capability) {
 		})
 	}
 	demo.Op(eden.Operation{Name: "deliver", Class: "deliver", Handler: func(c *eden.Call) {}})
-	demo.Op(eden.Operation{Name: "read", ReadOnly: true, Handler: func(c *eden.Call) {}})
+	demo.Op(eden.Operation{Name: "read", Access: eden.AccessRead, Handler: func(c *eden.Call) {}})
 	if err := sys.RegisterType(base); err != nil {
 		log.Fatal(err)
 	}

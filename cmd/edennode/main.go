@@ -261,8 +261,8 @@ func counterType() *kernel.TypeManager {
 		},
 	})
 	tm.Op(kernel.Operation{
-		Name:     "get",
-		ReadOnly: true,
+		Name:   "get",
+		Access: kernel.AccessRead,
 		Handler: func(c *kernel.Call) {
 			c.Self().View(func(r *segment.Representation) {
 				b, _ := r.Data("n")
@@ -300,8 +300,8 @@ func counterType() *kernel.TypeManager {
 	// stat reports value(8) | checkpoint version(8) without mutating
 	// anything — the harness's post-restart observation.
 	tm.Op(kernel.Operation{
-		Name:     "stat",
-		ReadOnly: true,
+		Name:   "stat",
+		Access: kernel.AccessRead,
 		Handler: func(c *kernel.Call) {
 			var b [16]byte
 			c.Self().View(func(r *segment.Representation) {
@@ -316,9 +316,9 @@ func counterType() *kernel.TypeManager {
 	// can verify rights restriction survives crash/reincarnation: a
 	// capability restricted to Invoke must keep failing here.
 	tm.Op(kernel.Operation{
-		Name:     "secret",
-		ReadOnly: true,
-		Rights:   rights.Type(0),
+		Name:   "secret",
+		Access: kernel.AccessRead,
+		Rights: rights.Type(0),
 		Handler: func(c *kernel.Call) {
 			c.Return([]byte("secret"))
 		},

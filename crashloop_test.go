@@ -60,8 +60,8 @@ func durableCounterType() *TypeManager {
 		},
 	})
 	tm.Op(Operation{
-		Name:     "stat",
-		ReadOnly: true,
+		Name:   "stat",
+		Access: AccessRead,
 		Handler: func(c *Call) {
 			var b [16]byte
 			c.Self().View(func(r *Representation) {

@@ -84,7 +84,7 @@ type (
 	// Reliability selects a checkpoint placement policy level.
 	Reliability = kernel.Reliability
 	// Access is an operation's declared access class (shared, read,
-	// write), driving the coordinator's reader/writer scheduling.
+	// write), driving admission's reader/writer scheduling.
 	Access = kernel.Access
 	// Semaphore is the kernel-supplied intra-object counting
 	// semaphore.

@@ -20,8 +20,8 @@ func Example() {
 
 	greeter := eden.NewType("greeter")
 	greeter.Op(eden.Operation{
-		Name:     "greet",
-		ReadOnly: true,
+		Name:   "greet",
+		Access: eden.AccessRead,
 		Handler: func(c *eden.Call) {
 			c.Return([]byte("hello, " + string(c.Data)))
 		},
@@ -53,7 +53,7 @@ func ExampleObject_Checkpoint() {
 			return nil
 		})
 	}})
-	register.Op(eden.Operation{Name: "get", ReadOnly: true, Handler: func(c *eden.Call) {
+	register.Op(eden.Operation{Name: "get", Access: eden.AccessRead, Handler: func(c *eden.Call) {
 		c.Self().View(func(r *eden.Representation) {
 			v, _ := r.Data("value")
 			c.Return(v)

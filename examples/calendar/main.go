@@ -125,8 +125,8 @@ func calendarManager(expired *atomic.Int64) *eden.TypeManager {
 	})
 
 	tm.Op(eden.Operation{
-		Name:     "agenda",
-		ReadOnly: true,
+		Name:   "agenda",
+		Access: eden.AccessRead,
 		Handler: func(c *eden.Call) {
 			var lines []string
 			c.Self().View(func(r *eden.Representation) {

@@ -98,8 +98,8 @@ func mailboxManager() *eden.TypeManager {
 	})
 
 	tm.Op(eden.Operation{
-		Name:     "list",
-		ReadOnly: true,
+		Name:   "list",
+		Access: eden.AccessRead,
 		Handler: func(c *eden.Call) {
 			var lines []string
 			c.Self().View(func(r *eden.Representation) {
@@ -116,8 +116,8 @@ func mailboxManager() *eden.TypeManager {
 	})
 
 	tm.Op(eden.Operation{
-		Name:     "read",
-		ReadOnly: true,
+		Name:   "read",
+		Access: eden.AccessRead,
 		Handler: func(c *eden.Call) {
 			seg := "msg:" + string(c.Data)
 			var found []byte

@@ -125,8 +125,8 @@ func spoolerManager() *eden.TypeManager {
 		},
 	})
 	tm.Op(eden.Operation{
-		Name:     "pending",
-		ReadOnly: true,
+		Name:   "pending",
+		Access: eden.AccessRead,
 		Handler: func(c *eden.Call) {
 			count := 0
 			c.Self().View(func(r *eden.Representation) {

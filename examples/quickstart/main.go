@@ -60,8 +60,8 @@ func counterType() *eden.TypeManager {
 		},
 	})
 	tm.Op(eden.Operation{
-		Name:     "get",
-		ReadOnly: true,
+		Name:   "get",
+		Access: eden.AccessRead,
 		Handler: func(c *eden.Call) {
 			c.Self().View(func(r *eden.Representation) {
 				b, _ := r.Data("n")

@@ -3,13 +3,12 @@ package analysis
 // accesspurity is the first client of the effect engine (effects.go):
 // it checks that every operation registered read-only actually is.
 //
-// The reader pool (kernel/readers.go) fans AccessRead invocations out
-// under a shared RWMutex purely on the type manager's declaration, and
-// the replica-read roadmap item would additionally serve ReadOnly
-// operations from frozen replicas on other nodes. Both trust the
-// declaration completely: a handler registered AccessRead that mutates
-// its representation races every concurrent reader today and serves
-// torn state across the mesh tomorrow. This analyzer makes the
+// The reader pool fans AccessRead invocations out under a shared
+// RWMutex purely on the type manager's declaration, and replicas on
+// other nodes serve the same operations from checkpoint copies. Both
+// trust the declaration completely: a handler registered AccessRead
+// that mutates its representation races every concurrent reader and
+// serves torn state across the mesh. This analyzer makes the
 // declaration a checked property instead of a promise.
 
 import (
@@ -23,7 +22,7 @@ import (
 // bodies.
 var AccessPurity = &Analyzer{
 	Name: "accesspurity",
-	Doc:  "a handler registered Access: AccessRead or ReadOnly: true must not mutate or leak the object representation",
+	Doc:  "a handler registered Access: AccessRead must not mutate or leak the object representation",
 	Run:  runAccessPurity,
 }
 
@@ -61,9 +60,8 @@ func runAccessPurity(pass *Pass) {
 func checkOperation(pass *Pass, eng *effectEngine, lit *ast.CompositeLit, reported map[token.Pos]bool) {
 	opName := "?"
 	access := -1 // unset
-	readOnly := false
 	commutes := false
-	var accessExpr, commutesExpr, handler ast.Expr
+	var commutesExpr, handler ast.Expr
 
 	for _, elt := range lit.Elts {
 		kv, ok := elt.(*ast.KeyValueExpr)
@@ -80,15 +78,10 @@ func checkOperation(pass *Pass, eng *effectEngine, lit *ast.CompositeLit, report
 				opName = constant.StringVal(v)
 			}
 		case "Access":
-			accessExpr = kv.Value
 			if v := constValue(pass.Info, kv.Value); v != nil && v.Kind() == constant.Int {
 				if n, exact := constant.Int64Val(v); exact {
 					access = int(n)
 				}
-			}
-		case "ReadOnly":
-			if v := constValue(pass.Info, kv.Value); v != nil && v.Kind() == constant.Bool {
-				readOnly = constant.BoolVal(v)
 			}
 		case "Commutes":
 			commutesExpr = kv.Value
@@ -100,26 +93,20 @@ func checkOperation(pass *Pass, eng *effectEngine, lit *ast.CompositeLit, report
 		}
 	}
 
-	// The static mirror of TypeManager.Op's runtime panic (and of
-	// Registry.Register's validation for hand-built Operations maps).
-	if readOnly && access == accessWriteVal {
-		pass.Reportf(accessExpr.Pos(),
-			"operation %q declares ReadOnly: true but Access: AccessWrite; a read-only writer is a contradiction", opName)
-		return
-	}
-	// Commutativity only means something for exclusive writers: the
-	// coordinator batches a queued run of a Commutes operation into one
+	// Commutativity only means something for exclusive writers:
+	// admission batches a queued run of a Commutes operation into one
 	// exclusive admission. Readers already run concurrently and shared
 	// operations schedule outside the reader/writer queues, so the
 	// declaration there is a mistake the kernel rejects at
-	// registration; this is its static mirror.
+	// registration (TypeManager.Op panics, Registry.Register refuses);
+	// this is its static mirror.
 	if commutes && access != accessWriteVal {
 		pass.Reportf(commutesExpr.Pos(),
 			"operation %q declares Commutes without Access: AccessWrite; only exclusive writers are batched", opName)
 		return
 	}
-	if access != accessReadVal && !readOnly {
-		return // shared or write: the coordinator serializes appropriately
+	if access != accessReadVal {
+		return // shared or write: admission serializes appropriately
 	}
 	if handler == nil {
 		return

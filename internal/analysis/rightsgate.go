@@ -10,11 +10,10 @@ import (
 // rights, and dispatching of processes to invocations" must verify
 // rights before it dispatches. Concretely: inside the kernel package,
 // any function that hands an invocation to a handler — calling a value
-// of the Handler type, or enqueueing a call context into an object's
-// inbox — must first reach a rights check on the way there: a call
-// into the rights machinery (rights.Set/Capability Has/HasAny or any
-// internal/rights function), or a use of the ErrRights/StatusRights
-// outcome.
+// of the Handler type, or sending a call context over a channel — must
+// first reach a rights check on the way there: a call into the rights
+// machinery (rights.Set/Capability Has/HasAny or any internal/rights
+// function), or a use of the ErrRights/StatusRights outcome.
 //
 // The check is per-function and source-ordered: a rights check that
 // lives only in a caller does not discharge the dispatching function,
@@ -123,7 +122,7 @@ func isHandlerCall(info *types.Info, call *ast.CallExpr) bool {
 }
 
 // isCallCtxSend reports whether the statement sends a *callCtx into a
-// channel (an object's inbox).
+// channel.
 func isCallCtxSend(info *types.Info, send *ast.SendStmt) bool {
 	tv, ok := info.Types[send.Chan]
 	if !ok {

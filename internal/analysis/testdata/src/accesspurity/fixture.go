@@ -15,8 +15,8 @@ var leaked *segment.Representation
 func register(tm *kernel.TypeManager) {
 	// A read-only handler taking the write path.
 	tm.Op(kernel.Operation{
-		Name:     "bad-update",
-		ReadOnly: true,
+		Name:   "bad-update",
+		Access: kernel.AccessRead,
 		Handler: func(c *kernel.Call) {
 			_ = c.Self().Update(func(r *segment.Representation) error { // want "calls (*kernel.Object).Update"
 				return nil
@@ -46,17 +46,9 @@ func register(tm *kernel.TypeManager) {
 		},
 	})
 
-	// ReadOnly and AccessWrite contradict; no handler analysis needed.
-	tm.Op(kernel.Operation{
-		Name:     "confused",
-		ReadOnly: true,
-		Access:   kernel.AccessWrite, // want "ReadOnly: true but Access: AccessWrite"
-		Handler:  func(c *kernel.Call) {},
-	})
-
-	// Commutes only means something for exclusive writers: the
-	// coordinator batches queued commuting writers into one exclusive
-	// admission. On a reader the declaration is a category error.
+	// Commutes only means something for exclusive writers: admission
+	// batches queued commuting writers into one exclusive admission. On
+	// a reader the declaration is a category error.
 	tm.Op(kernel.Operation{
 		Name:     "commute-read",
 		Access:   kernel.AccessRead,
@@ -132,8 +124,8 @@ func register(tm *kernel.TypeManager) {
 	// A scratch representation local to the handler is not the object's
 	// representation; mutating it is fine.
 	tm.Op(kernel.Operation{
-		Name:     "local-ok",
-		ReadOnly: true,
+		Name:   "local-ok",
+		Access: kernel.AccessRead,
 		Handler: func(c *kernel.Call) {
 			var scratch segment.Representation
 			scratch.SetData("tmp", c.Data)
@@ -143,8 +135,8 @@ func register(tm *kernel.TypeManager) {
 
 	// A genuinely pure read: copies out under the view, replies after.
 	tm.Op(kernel.Operation{
-		Name:     "read-ok",
-		ReadOnly: true,
+		Name:   "read-ok",
+		Access: kernel.AccessRead,
 		Handler: func(c *kernel.Call) {
 			var out []byte
 			c.Self().View(func(r *segment.Representation) {
@@ -157,8 +149,8 @@ func register(tm *kernel.TypeManager) {
 
 	// A reasoned suppression absorbs the finding.
 	tm.Op(kernel.Operation{
-		Name:     "suppressed",
-		ReadOnly: true,
+		Name:   "suppressed",
+		Access: kernel.AccessRead,
 		Handler: func(c *kernel.Call) {
 			//edenvet:ignore accesspurity fixture: pins that a reasoned suppression absorbs the finding
 			_ = c.Self().Update(func(r *segment.Representation) error { return nil })

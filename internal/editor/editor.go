@@ -49,8 +49,8 @@ const BaseTypeName = "eden.displayable"
 func RegisterBaseType(reg *kernel.Registry) error {
 	tm := kernel.NewType(BaseTypeName)
 	tm.Op(kernel.Operation{
-		Name:     DisplayOp,
-		ReadOnly: true,
+		Name:   DisplayOp,
+		Access: kernel.AccessRead,
 		Handler: func(c *kernel.Call) {
 			c.Return([]byte(renderAnatomy(c.Self())))
 		},

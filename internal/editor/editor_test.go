@@ -83,8 +83,8 @@ func TestOverriddenDisplay(t *testing.T) {
 	ks, reg := testSys(t, 1)
 	tm := noteType("fancy-note")
 	tm.Op(kernel.Operation{
-		Name:     DisplayOp,
-		ReadOnly: true,
+		Name:   DisplayOp,
+		Access: kernel.AccessRead,
 		Handler: func(c *kernel.Call) {
 			c.Self().View(func(r *segment.Representation) {
 				text, _ := r.Data("text")

@@ -115,16 +115,16 @@ func RegisterType(reg *kernel.Registry) error {
 	}
 
 	tm.Op(kernel.Operation{
-		Name:     "read",
-		Class:    "read",
-		ReadOnly: true,
-		Handler:  opRead,
+		Name:    "read",
+		Class:   "read",
+		Access:  kernel.AccessRead,
+		Handler: opRead,
 	})
 	tm.Op(kernel.Operation{
-		Name:     "history",
-		Class:    "read",
-		ReadOnly: true,
-		Handler:  opHistory,
+		Name:    "history",
+		Class:   "read",
+		Access:  kernel.AccessRead,
+		Handler: opHistory,
 	})
 	tm.Op(kernel.Operation{Name: "lock", Class: "mutate", Rights: WriteRight, Handler: opLock})
 	tm.Op(kernel.Operation{Name: "unlock", Class: "mutate", Rights: WriteRight, Handler: opUnlock})

@@ -3,7 +3,9 @@ package efs
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"strings"
+	"time"
 
 	"eden/internal/capability"
 	"eden/internal/naming"
@@ -124,12 +126,14 @@ func (p *PathFS) Write(path string, data []byte) (version uint64, err error) {
 		if err := tx.Write(file, cur, data); err != nil {
 			tx.Abort()
 			if errors.Is(err, ErrConflict) {
+				conflictBackoff(attempt)
 				continue
 			}
 			return 0, err
 		}
 		if err := tx.Commit(); err != nil {
 			if errors.Is(err, ErrConflict) {
+				conflictBackoff(attempt)
 				continue
 			}
 			return 0, err
@@ -137,6 +141,15 @@ func (p *PathFS) Write(path string, data []byte) (version uint64, err error) {
 		return cur + 1, nil
 	}
 	return 0, fmt.Errorf("%w: persistent contention on %q", ErrConflict, path)
+}
+
+// conflictBackoff pauses a writer that lost a validation conflict for a
+// random time that doubles with each attempt (20µs up to ~20ms). Without
+// it, the writer that just committed re-reads and re-prepares before
+// the losers have retried, and a loser can spend every attempt behind
+// it.
+func conflictBackoff(attempt int) {
+	time.Sleep(time.Duration(rand.Int63n(int64(20*time.Microsecond) << min(attempt, 10))))
 }
 
 // Read returns the latest version of the file at the path.

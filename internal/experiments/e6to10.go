@@ -432,7 +432,7 @@ func RunE10() (*Table, error) {
 	// Build a chain: depth0 <- depth1 <- ... <- depthN, with the
 	// operation only on depth0.
 	root := eden.NewType("bench.depth0")
-	root.Op(eden.Operation{Name: "op", ReadOnly: true, Handler: func(c *eden.Call) { c.Return(nil) }})
+	root.Op(eden.Operation{Name: "op", Access: eden.AccessRead, Handler: func(c *eden.Call) { c.Return(nil) }})
 	if err := sys.RegisterType(root); err != nil {
 		return nil, err
 	}

@@ -167,9 +167,9 @@ func echoType() *eden.TypeManager {
 		})
 	}
 	tm.Op(eden.Operation{
-		Name:     "echo",
-		ReadOnly: true,
-		Handler:  func(c *eden.Call) { c.Return(c.Data) },
+		Name:    "echo",
+		Access:  eden.AccessRead,
+		Handler: func(c *eden.Call) { c.Return(c.Data) },
 	})
 	tm.Op(eden.Operation{
 		Name: "store",

@@ -131,8 +131,8 @@ func Register(reg *kernel.Registry, spec Spec) error {
 		})
 	}
 	tm.Op(kernel.Operation{
-		Name:     "gateway-stats",
-		ReadOnly: true,
+		Name:   "gateway-stats",
+		Access: kernel.AccessRead,
 		Handler: func(c *kernel.Call) {
 			c.Self().View(func(r *segment.Representation) {
 				b, _ := r.Data("requests")

@@ -205,8 +205,8 @@ func TestLargeRepresentationRoundTrip(t *testing.T) {
 		})
 	}
 	big.Op(Operation{
-		Name:     "checksum",
-		ReadOnly: true,
+		Name:   "checksum",
+		Access: AccessRead,
 		Handler: func(c *Call) {
 			var sum uint64
 			c.Self().View(func(r *segment.Representation) {
@@ -349,8 +349,8 @@ func TestEvictionSingleLevelMemory(t *testing.T) {
 		},
 	})
 	big.Op(Operation{
-		Name:     "tagged",
-		ReadOnly: true,
+		Name:   "tagged",
+		Access: AccessRead,
 		Handler: func(c *Call) {
 			c.Self().View(func(r *segment.Representation) {
 				b, _ := r.Data("tag")
@@ -482,4 +482,62 @@ func TestLossyNetworkLiveness(t *testing.T) {
 	if got > uint64(successes+timeouts) {
 		t.Errorf("counter = %d above %d+%d (duplicated executions)", got, successes, timeouts)
 	}
+}
+
+// TestDispatchToDeadIncarnation drives the path behind a call that
+// reaches an incarnation after it was destroyed: the invoker looked the
+// object up, then lost the race with a move, a crash or a passivation.
+// Admission must answer at once — the move's destination, a crash, or
+// the forwarding pointer a later incarnation's move left behind.
+func TestDispatchToDeadIncarnation(t *testing.T) {
+	s := newSys(t, 1, 2)
+	mustRegister(t, s.reg, counterType(nil))
+	k := s.ks[1]
+	dispatchGet := func(obj *Object, cap capability.Capability) msg.InvokeRep {
+		t.Helper()
+		rep, err := k.dispatch(obj, msg.InvokeReq{Target: cap, Operation: "get"}, time.Second)
+		if err != nil {
+			t.Fatalf("dispatch: %v", err)
+		}
+		return rep
+	}
+	wantMoved := func(what string, rep msg.InvokeRep, dest uint32) {
+		t.Helper()
+		if got, ok := movedDest(rep); rep.Status != msg.StatusMoved || !ok || got != dest {
+			t.Errorf("%s: reply %v (dest %d), want StatusMoved to node %d", what, rep.Status, got, dest)
+		}
+	}
+
+	moved, _ := k.Create("counter", nil)
+	obj, _ := k.Object(moved.ID())
+	if err := <-obj.Move(2); err != nil {
+		t.Fatal(err)
+	}
+	wantMoved("moved incarnation", dispatchGet(obj, moved), 2)
+
+	crashed, _ := k.Create("counter", nil)
+	obj, _ = k.Object(crashed.ID())
+	obj.Crash()
+	if rep := dispatchGet(obj, crashed); rep.Status != msg.StatusCrashed {
+		t.Errorf("crashed incarnation: reply %v, want StatusCrashed", rep.Status)
+	}
+
+	passive, _ := k.Create("counter", nil)
+	old, _ := k.Object(passive.ID())
+	if err := old.Passivate(); err != nil {
+		t.Fatal(err)
+	}
+	if rep := dispatchGet(old, passive); rep.Status != msg.StatusCrashed {
+		t.Errorf("passivated incarnation, no forward: reply %v, want StatusCrashed", rep.Status)
+	}
+	// A later incarnation moves away; the stale one redirects along the
+	// forwarding pointer instead of reporting a crash.
+	cur, err := k.Object(passive.ID())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := <-cur.Move(2); err != nil {
+		t.Fatal(err)
+	}
+	wantMoved("passivated incarnation", dispatchGet(old, passive), 2)
 }

@@ -344,20 +344,18 @@ func (k *Kernel) tryLocal(req msg.InvokeReq, allowReplica, remoteOrigin bool, ti
 	return rep, true, err
 }
 
-// dispatch hands one call to an object's coordinator and awaits the
-// reply, honoring the node's virtual processor budget. One absolute
-// deadline covers the whole dispatch — the virtual-processor wait, the
-// admission-queue hand-off, and the reply wait share a single timer,
-// so a call can never consume more than its caller's time limit (the
-// old code armed a fresh full-length timer after the virtual-processor
-// wait, doubling the worst case).
+// dispatch admits one call to an object and awaits the reply,
+// honoring the node's virtual processor budget. One absolute deadline
+// covers the whole dispatch — the virtual-processor wait, the time
+// queued in admission, and the handler — so a call can never consume
+// more than its caller's time limit.
 func (k *Kernel) dispatch(obj *Object, req msg.InvokeReq, timeout time.Duration) (msg.InvokeRep, error) {
 	// The serving side verifies rights before admitting the call: a
 	// request that arrived over the wire carries whatever capability
 	// the sender claims, and the target's node — not the sender — is
-	// the authority. The coordinator re-checks per-operation rights in
-	// arrive; this gate rejects capabilities lacking Invoke before they
-	// consume a virtual processor.
+	// the authority. Admission re-checks per-operation rights; this
+	// gate rejects capabilities lacking Invoke before they consume a
+	// virtual processor.
 	if !req.Target.Has(rights.Invoke) {
 		k.tel.rightsDenied.Inc()
 		return msg.InvokeRep{Status: msg.StatusRights, Data: []byte("capability lacks invoke right")}, nil
@@ -388,15 +386,7 @@ func (k *Kernel) dispatch(obj *Object, req msg.InvokeReq, timeout time.Duration)
 		queued:   true,
 	}
 	k.tel.admissionDepth.Add(1)
-	select {
-	case obj.inbox <- c:
-	case <-obj.down:
-		k.tel.admissionDepth.Add(-1)
-		return k.retryAfterDown(obj, req)
-	case <-timer.C:
-		k.tel.admissionDepth.Add(-1)
-		return msg.InvokeRep{Status: msg.StatusTimeout}, nil
-	}
+	obj.admit(c)
 	select {
 	case rep := <-c.replyCh:
 		k.tel.dispatchLat.ObserveSince(start)
@@ -407,30 +397,10 @@ func (k *Kernel) dispatch(obj *Object, req msg.InvokeReq, timeout time.Duration)
 	case <-timer.C:
 		// "The invoker wishes to be notified if the invocation is not
 		// completed within some time limit." The process may still
-		// complete; only the caller stops waiting.
+		// complete; only the caller stops waiting, and admission sheds
+		// the call if it is still queued when next scheduled.
 		return msg.InvokeRep{Status: msg.StatusTimeout}, nil
 	}
-}
-
-// retryAfterDown resolves a dispatch race where the incarnation died
-// between lookup and enqueue: the object may have moved, passivated,
-// or crashed.
-func (k *Kernel) retryAfterDown(obj *Object, req msg.InvokeReq) (msg.InvokeRep, error) {
-	// An incarnation retired toward a live home (a move, or a shadow
-	// superseded by a fresher checkpoint) records the destination.
-	obj.sched.Lock()
-	moved := obj.movedTo
-	obj.sched.Unlock()
-	if moved != 0 {
-		return movedReply(moved), nil
-	}
-	k.mu.Lock()
-	fwd, isFwd := k.forwards[obj.id]
-	k.mu.Unlock()
-	if isFwd {
-		return movedReply(fwd), nil
-	}
-	return msg.InvokeRep{Status: msg.StatusCrashed}, nil
 }
 
 // invokeRemote ships the request to another node's kernel and awaits

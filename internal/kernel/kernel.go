@@ -59,11 +59,11 @@ type Config struct {
 	// a read-only shadow, never admitted to the write path, and retired
 	// when an invalidation raises the serving floor past it.
 	ReplicaServe bool
-	// AdmissionQueue caps each object's reader and writer admission
-	// queues. Calls arriving past the cap are shed immediately with
-	// StatusTimeout (like the transport's bounded send queues, the
-	// queue rejects early rather than growing without bound). 0 uses
-	// DefaultAdmissionQueue.
+	// AdmissionQueue caps each of an object's reader, writer and
+	// shared admission queues. Calls arriving past the cap are shed
+	// immediately with StatusTimeout (like the transport's bounded send
+	// queues, the queue rejects early rather than growing without
+	// bound). 0 uses DefaultAdmissionQueue.
 	AdmissionQueue int
 	// AsyncPending caps the node's async dispatcher: how many
 	// InvokeAsync/InvokeAsyncPort submissions may sit in the
@@ -249,8 +249,8 @@ type Kernel struct {
 // read-only invocation processes when Config.ReaderPool is zero.
 const DefaultReaderPool = 8
 
-// DefaultAdmissionQueue is the per-object cap on queued reader and
-// writer calls when Config.AdmissionQueue is zero.
+// DefaultAdmissionQueue is the per-object cap on each queue of
+// reader, writer and shared calls when Config.AdmissionQueue is zero.
 const DefaultAdmissionQueue = 1024
 
 func New(cfg Config, tr transport.Transport, types *Registry, st store.Store) *Kernel {
@@ -557,7 +557,7 @@ func (k *Kernel) Create(typeName string, opts *CreateOptions) (capability.Capabi
 	return capability.New(id, rights.All), nil
 }
 
-// install registers an active object and starts its coordinator,
+// install registers an active object, opening it to invocations and
 // charging its representation against the node's memory budget.
 func (k *Kernel) install(obj *Object) error {
 	size := int64(repSize(obj))
@@ -588,7 +588,6 @@ func (k *Kernel) install(obj *Object) error {
 	k.tel.activeObjects.Add(1)
 	k.tel.memBytes.Set(k.memInUse)
 	k.mu.Unlock()
-	go obj.coordinate()
 	return nil
 }
 

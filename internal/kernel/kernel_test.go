@@ -137,9 +137,9 @@ func counterType(reincarnations *atomic.Int64) *TypeManager {
 		},
 	})
 	tm.Op(Operation{
-		Name:     "get",
-		Class:    "read",
-		ReadOnly: true,
+		Name:   "get",
+		Class:  "read",
+		Access: AccessRead,
 		Handler: func(c *Call) {
 			c.Self().View(func(r *segment.Representation) {
 				b, _ := r.Data("n")

@@ -331,9 +331,10 @@ func (k *Kernel) removeActive(o *Object) {
 }
 
 // destroyActiveState tears down the incarnation's short-term state:
-// stops dispatch, waits out behaviors. movedTo, when non-zero, makes
-// queued invocations bounce to the new home instead of reporting a
-// crash.
+// answers every queued call, fails every suspended writer's
+// re-acquisition, and waits out behaviors. movedTo, when non-zero,
+// makes queued invocations bounce to the new home instead of reporting
+// a crash.
 func (o *Object) destroyActiveState(movedTo uint32) {
 	o.sched.Lock()
 	if o.state == stDown {
@@ -342,9 +343,38 @@ func (o *Object) destroyActiveState(movedTo uint32) {
 	}
 	o.state = stDown
 	o.movedTo = movedTo
+	rep := msg.InvokeRep{Status: msg.StatusCrashed}
+	if movedTo != 0 {
+		rep = movedReply(movedTo)
+	}
+	a := &o.adm
+	for _, q := range [][]*callCtx{a.readQ, a.writeQ, a.sharedQ} {
+		for _, c := range q {
+			o.answer(c, rep)
+		}
+	}
+	// Suspended writers observe the terminal state: their Call.Invoke
+	// returns the lifecycle error instead of resuming into a shipped or
+	// destroyed representation.
+	for _, grant := range a.resumeQ {
+		grant <- false
+	}
+	a.readQ, a.writeQ, a.sharedQ, a.resumeQ = nil, nil, nil, nil
 	o.sched.Unlock()
-	o.downOnce.Do(func() { close(o.down) })
+	close(o.down)
 	o.behaviors.Wait()
+}
+
+// resumeService puts an incarnation whose move aborted back in
+// service: the calls that waited in admission during the move are
+// scheduled here instead of timing out against a silent queue.
+func (o *Object) resumeService() {
+	o.sched.Lock()
+	if o.state == stMoving {
+		o.state = stActive
+		o.schedule()
+	}
+	o.sched.Unlock()
 }
 
 // Freeze makes the representation immutable: "When an object is frozen
@@ -422,8 +452,8 @@ func (k *Kernel) moveObject(o *Object, to uint32) error {
 	}
 	o.state = stMoving
 	// Quiesce: wait for running handler processes — the reader pool
-	// included — to complete. New arrivals queue at the coordinator
-	// and will be bounced to the new home once the transfer commits.
+	// included — to complete. New arrivals wait in admission and will
+	// be bounced to the new home once the transfer commits.
 	o.waitDrainedLocked()
 	o.sched.Unlock()
 	// Invocation processes are drained and stMoving blocks new ones;
@@ -447,12 +477,7 @@ func (k *Kernel) moveObject(o *Object, to uint32) error {
 	killpoint.Hit(killpoint.MovePreShip)
 	intent := store.MoveIntent{Object: o.id, Dest: to, Epoch: newEpoch}
 	if err := k.store.PutIntent(intent); err != nil {
-		o.sched.Lock()
-		if o.state == stMoving {
-			o.state = stActive
-		}
-		o.sched.Unlock()
-		o.notifyResume()
+		o.resumeService()
 		k.stMoveAborts.Add(1)
 		return fmt.Errorf("kernel: move to node %d: intent: %w", to, err)
 	}
@@ -476,15 +501,7 @@ func (k *Kernel) moveObject(o *Object, to uint32) error {
 			delete(k.intents, o.id)
 		}
 		k.mu.Unlock()
-		// The object resumes service here, and calls held at the
-		// coordinator during the move are re-admitted rather than left
-		// to time out.
-		o.sched.Lock()
-		if o.state == stMoving {
-			o.state = stActive
-		}
-		o.sched.Unlock()
-		o.notifyResume()
+		o.resumeService()
 		k.stMoveAborts.Add(1)
 		return fmt.Errorf("kernel: move to node %d: %w", to, err)
 	}
@@ -671,7 +688,6 @@ func (k *Kernel) acceptShip(from uint32, ship msg.Ship) error {
 		}
 		k.replicas[ship.Object] = obj
 		k.mu.Unlock()
-		go obj.coordinate()
 		k.loc.Learn(ship.Object, from, false)
 		k.stReplicas.Add(1)
 		return nil

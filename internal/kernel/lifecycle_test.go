@@ -220,6 +220,16 @@ func TestMoveObject(t *testing.T) {
 		t.Error("object not active on the new node")
 	}
 
+	// The move's invalidate broadcast refreshes node 3's hint on its
+	// own schedule. Wait for it to land, then re-plant the stale hint:
+	// otherwise a late invalidate could race the invocation below and
+	// leave no forwarding pointer to chase.
+	eventually(t, func() bool {
+		loc, err := s.ks[3].Locator().Lookup(cap.ID(), time.Second)
+		return err == nil && loc.Node == 2
+	}, "node 3 learns the object's new home")
+	s.ks[3].Locator().Learn(cap.ID(), 1, false)
+
 	// Invocation through the stale hint must chase the forwarding
 	// pointer transparently.
 	if got := fromU64(mustInvoke(t, s.ks[3], cap, "inc", nil).Data); got != 2 {
@@ -475,9 +485,8 @@ func TestSubtypeInheritsOperations(t *testing.T) {
 	sub.Extends = "counter"
 	sub.Init = base.Init
 	sub.Op(Operation{
-		Name:     "double",
-		Class:    "write",
-		ReadOnly: false,
+		Name:  "double",
+		Class: "write",
 		Handler: func(c *Call) {
 			var out uint64
 			_ = c.Self().Update(func(r *segment.Representation) error {
@@ -516,9 +525,9 @@ func TestSubtypeOverridesOperation(t *testing.T) {
 	sub.Extends = "counter"
 	sub.Init = base.Init
 	sub.Op(Operation{
-		Name:     "get",
-		ReadOnly: true,
-		Handler:  func(c *Call) { c.Return([]byte("LOUD")) },
+		Name:    "get",
+		Access:  AccessRead,
+		Handler: func(c *Call) { c.Return([]byte("LOUD")) },
 	})
 	mustRegister(t, s.reg, base, sub)
 	cap, _ := s.ks[1].Create("loud-counter", nil)

@@ -19,10 +19,11 @@ import (
 type objState uint8
 
 const (
-	// stActive: the coordinator is dispatching invocations.
+	// stActive: admission starts processes for queued invocations.
 	stActive objState = iota
-	// stMoving: a move is in progress; new invocations are held and
-	// answered with StatusMoved once the transfer commits.
+	// stMoving: a move is in progress; invocations wait in the
+	// admission queues until the move commits (they are answered with
+	// StatusMoved) or aborts (they are scheduled here).
 	stMoving
 	// stDown: the active state has been destroyed (crash or
 	// passivation); this incarnation is finished.
@@ -32,8 +33,9 @@ const (
 // Object is one active Eden object: "a unique name, a representation
 // (a data part), a type ..., and some number of invocations (threads
 // of control)". The representation is long-term state; everything
-// else here — coordinator, class gates, semaphores, ports, behaviors —
-// is short-term state that "is never written to long-term storage".
+// else here — admission queues, class counters, semaphores, ports,
+// behaviors — is short-term state that "is never written to long-term
+// storage".
 type Object struct {
 	k  *Kernel
 	id edenid.ID
@@ -54,18 +56,18 @@ type Object struct {
 	// (movetxn.go), so it needs no lock.
 	epoch uint64
 
-	// sched guards the incarnation's scheduling state. It is separate
-	// from mu so the coordinator can admit new processes while readers
-	// sit inside View holding mu: with a single RWMutex, one blocked
-	// reader would stall the coordinator's write-lock acquisition —
-	// and, since a waiting writer blocks new RLocks, serialize the
-	// whole pool.
+	// sched guards the incarnation's lifecycle state and its admission
+	// state machine. It is separate from mu so admission can start
+	// processes while readers sit inside View holding mu: with a single
+	// RWMutex, one blocked reader would stall admission — and, since a
+	// waiting writer blocks new RLocks, serialize the whole pool.
 	sched       sync.Mutex
 	state       objState
 	movedTo     uint32     // valid once state becomes stMoving->moved
 	running     int        // handler processes currently executing
 	lastInvoked int64      // monotonic tick of the last admitted invocation
 	drained     *sync.Cond // on sched
+	adm         admission  // on sched
 
 	charged atomic.Int64 // bytes charged to the node's memory budget
 
@@ -79,14 +81,7 @@ type Object struct {
 	shadow  bool
 	home    uint32
 
-	inbox    chan *callCtx
-	procDone chan procExit  // reader/writer process completions, back to the coordinator
-	yield    chan *yieldReq // writer exclusivity release/re-acquire (Call.Invoke)
-	down     chan struct{}  // closed when active state is destroyed
-	resume   chan struct{}  // pinged when an aborted move re-admits held calls
-	downOnce sync.Once
-
-	classTok map[string]chan struct{}
+	down chan struct{} // closed when active state is destroyed
 
 	semMu sync.Mutex
 	sems  map[string]*Semaphore
@@ -95,7 +90,7 @@ type Object struct {
 	behaviors sync.WaitGroup
 }
 
-// callCtx is one invocation traveling through the coordinator.
+// callCtx is one invocation traveling through admission.
 type callCtx struct {
 	op      string
 	data    []byte
@@ -109,8 +104,10 @@ type callCtx struct {
 	// queued tracks the admission-queue depth gauge: set by dispatch
 	// when the call is charged to the gauge, cleared (exactly once, by
 	// whichever side disposes of the call) when it leaves admission.
-	// After enqueue only the coordinator goroutine touches it.
+	// Once the call is queued it is only touched under o.sched.
 	queued bool
+	// resolved is the operation admit resolved the call to.
+	resolved *Operation
 }
 
 func (k *Kernel) newObject(id edenid.ID, tm *TypeManager, rep *segment.Representation, version uint64, frozen bool) *Object {
@@ -121,25 +118,20 @@ func (k *Kernel) newObject(id edenid.ID, tm *TypeManager, rep *segment.Represent
 		rep:     rep,
 		version: version,
 		frozen:  frozen,
-		inbox:   make(chan *callCtx, 128),
-		// At most ReaderPool readers or maxWriteBatch batched writers
-		// run at a time, so a buffer covering both bounds guarantees
-		// completion sends never block — even after the coordinator has
-		// exited at teardown.
-		procDone: make(chan procExit, k.cfg.ReaderPool+maxWriteBatch+1),
-		yield:    make(chan *yieldReq),
-		down:     make(chan struct{}),
-		resume:   make(chan struct{}, 1),
-		classTok: make(map[string]chan struct{}),
-		sems:     make(map[string]*Semaphore),
-		ports:    make(map[string]*Port),
+		down:    make(chan struct{}),
+		sems:    make(map[string]*Semaphore),
+		ports:   make(map[string]*Port),
 	}
 	o.drained = sync.NewCond(&o.sched)
-	// Build the class admission gates: one counting gate per limited
-	// class reachable through the type (including inherited ops).
+	// One admission counter per limited class reachable through the
+	// type (including inherited ops).
 	for class, limit := range collectClassLimits(k.types, tm) {
 		if limit > 0 {
-			o.classTok[class] = make(chan struct{}, limit)
+			if o.adm.classLim == nil {
+				o.adm.classLim = make(map[string]int)
+				o.adm.classRun = make(map[string]int)
+			}
+			o.adm.classLim[class] = limit
 		}
 	}
 	return o
@@ -284,145 +276,57 @@ func (o *Object) SpawnBehavior(fn func(stop <-chan struct{})) {
 	}()
 }
 
-// schedCall is one validated invocation waiting in the coordinator's
-// admission queue for a reader slot or writer exclusivity.
-type schedCall struct {
-	c  *callCtx
-	op *Operation
-}
-
 // maxWriteBatch bounds how many commuting writers share one exclusive
 // admission — the write-side analogue of the reader pool.
 const maxWriteBatch = 16
 
-// procExit is one reader/writer process completion reported back to
-// the coordinator. holding is false when a writer yielded its
-// exclusive slot for a nested invoke and never re-acquired it: the
-// slot was already released when the yield was processed, so counting
-// this exit again would free exclusivity twice.
-type procExit struct {
-	cls     Access
-	holding bool
-}
-
-// yieldReq is a writer process releasing or re-acquiring the object's
-// exclusivity around a nested invocation (Call.Invoke). A nil grant
-// marks a release; a non-nil grant awaits re-acquisition — true once
-// exclusivity is held again, false if the incarnation moved away or
-// was destroyed while the writer was suspended.
-type yieldReq struct {
-	grant chan bool
-}
-
-// coordState is the coordinator's scheduling state: Eden's "tree of
-// processes" for one object. Read-only calls fan out to a bounded pool
-// of concurrently executing processes; mutating calls drain the
-// readers and run exclusively, in arrival order, with preference over
-// newly arriving readers. Two extensions pipeline the write path:
-// writers suspended in a nested invoke release exclusivity into
-// resumeQ and re-acquire with priority over everything queued, and a
-// consecutive run of queued calls to one Commutes operation is
-// batched into a single exclusive admission (writers counts the
-// processes sharing it). All fields are owned by the coordinator
-// goroutine — no lock guards them.
-type coordState struct {
-	o       *Object
-	readQ   []*schedCall // admitted read-only calls awaiting a pool slot
-	writeQ  []*schedCall // admitted mutating calls awaiting exclusivity
-	resumeQ []*yieldReq  // suspended writers awaiting re-acquisition
-	held    []*callCtx   // calls arriving during a move
-	readers int          // reader processes currently executing
-	writers int          // writer processes holding the current exclusive admission
-}
-
-// coordinate is the coordinator process: "kernel code responsible for
-// maintenance of the object, reception of invocation requests ...,
+// admission is an object's scheduling state: Eden's "tree of processes"
+// for one object. Read-only calls fan out to a bounded pool of
+// concurrently executing processes; mutating calls drain the readers
+// and run exclusively, in arrival order, with preference over newly
+// arriving readers; shared calls run alongside both. Every access
+// class is bounded by the invocation-class limits, every queue by
+// Config.AdmissionQueue, and every queued call by its caller's
+// deadline. Two extensions pipeline the write path: writers suspended
+// in a nested invoke release exclusivity and re-acquire through
+// resumeQ with priority over everything queued, and a consecutive run
+// of queued calls to one Commutes operation shares a single exclusive
+// admission (writers counts the processes sharing it).
+//
+// The paper's coordinator — "reception of invocation requests ...,
 // verification of rights, and dispatching of processes to
-// invocations". One goroutine per active object; it owns the object's
-// admission queues and reader/writer schedule.
-func (o *Object) coordinate() {
-	cs := &coordState{o: o}
-	for {
-		select {
-		case c := <-o.inbox:
-			o.sched.Lock()
-			st := o.state
-			moved := o.movedTo
-			o.sched.Unlock()
-			switch st {
-			case stMoving:
-				cs.held = append(cs.held, c)
-			case stDown:
-				o.unqueue(c)
-				if moved != 0 {
-					// The incarnation was retired toward a live home
-					// (move, or a shadow superseded by a fresher
-					// checkpoint); bounce instead of reporting a crash.
-					c.reply(movedReply(moved))
-				} else {
-					c.reply(msg.InvokeRep{Status: msg.StatusCrashed})
-				}
-			default:
-				cs.arrive(c)
-			}
-		case e := <-o.procDone:
-			cs.complete(e)
-		case q := <-o.yield:
-			cs.handleYield(q)
-		case <-o.resume:
-			cs.readmit()
-		case <-o.down:
-			cs.drain()
-			return
-		}
-	}
+// invocations" — is a role, not a thread: arrivals (admit), process
+// completions, writer yields and re-acquisitions, move aborts and
+// destruction each drive this state machine inline, under o.sched.
+type admission struct {
+	readQ   []*callCtx  // read-only calls awaiting a pool slot
+	writeQ  []*callCtx  // mutating calls awaiting exclusivity
+	sharedQ []*callCtx  // shared calls awaiting a class slot
+	resumeQ []chan bool // suspended writers awaiting re-acquisition
+	readers int         // reader processes currently executing
+	writers int         // writer processes holding the current exclusive admission
+	// classLim holds the limit of every limited invocation class:
+	// "the number of concurrent processes that are allowed to be
+	// servicing each class". classRun counts the processes servicing
+	// each, a writer suspended in a nested invoke included.
+	classLim, classRun map[string]int
 }
 
-// readmit re-admits calls held during a move after the move aborts:
-// the object resumed service here, so held invokers get scheduled
-// instead of timing out against a silent queue. Each call re-enters
-// through arrive, which re-validates it and sheds any whose caller
-// deadline expired while the move was in flight.
-func (cs *coordState) readmit() {
-	held := cs.held
-	cs.held = nil
-	for _, c := range held {
-		cs.arrive(c)
-	}
-	// A writer suspended across the whole move attempt has no held
-	// call to re-enter through; reschedule so its parked re-acquisition
-	// is granted even when nothing else arrived.
-	cs.schedule()
-}
-
-// notifyResume wakes the coordinator to re-admit held calls. Non-
-// blocking: one pending notification is enough, and the coordinator
-// may already be gone at teardown.
-func (o *Object) notifyResume() {
-	select {
-	case o.resume <- struct{}{}:
-	default:
-	}
-}
-
-// arrive validates one call on the coordinator — operation resolution,
-// rights, replica and frozen gates — then routes it by access class:
-// shared calls dispatch immediately (the type synchronizes them with
-// its own monitors), readers and writers enter the admission queues.
-func (cs *coordState) arrive(c *callCtx) {
-	o := cs.o
+// admit receives one call on the invoker's goroutine: operation
+// resolution, rights verification, the replica and frozen gates, then a
+// place in the admission queue of the call's access class. A call that
+// reaches a destroyed incarnation is answered at once.
+func (o *Object) admit(c *callCtx) {
 	op, _, err := o.k.types.resolveOp(o.tm, c.op)
 	if err != nil {
-		o.unqueue(c)
-		c.reply(msg.InvokeRep{Status: msg.StatusNoSuchOperation, Data: []byte(err.Error())})
+		o.answer(c, msg.InvokeRep{Status: msg.StatusNoSuchOperation, Data: []byte(err.Error())})
 		return
 	}
 	// Rights verification: the capability must carry Invoke plus the
 	// operation's declared rights.
 	need := op.Rights.Union(rights.Invoke)
 	if !c.rts.Has(need) {
-		o.unqueue(c)
-		c.reply(msg.InvokeRep{
+		o.answer(c, msg.InvokeRep{
 			Status: msg.StatusRights,
 			Data:   []byte(fmt.Sprintf("operation %q requires rights %v, capability has %v", c.op, need, c.rts)),
 		})
@@ -431,282 +335,201 @@ func (cs *coordState) arrive(c *callCtx) {
 	o.mu.RLock()
 	replica, frozen, home := o.replica, o.frozen, o.home
 	o.mu.RUnlock()
-	if replica && (!op.ReadOnly || op.Access != AccessRead) {
+	if replica && op.Access != AccessRead {
 		// A replica serves only operations registered AccessRead: the
-		// declaration is what proves (statically, via accesspurity, and
-		// at registration via Register's normalization) that the
-		// handler cannot diverge the copy from the home's state. This
-		// runtime mirror of Register's ReadOnly/AccessWrite check also
-		// catches a contradictory Operation mutated after registration;
-		// everything else bounces to the home node.
-		o.unqueue(c)
-		c.reply(movedReply(home))
+		// declaration is what proves (statically, via accesspurity) that
+		// the handler cannot diverge the copy from the home's state.
+		// Everything else bounces to the home node.
+		o.answer(c, movedReply(home))
 		return
 	}
-	if frozen && !op.ReadOnly && !replica {
-		o.unqueue(c)
-		c.reply(msg.InvokeRep{Status: msg.StatusFrozen, Data: []byte("representation is frozen")})
+	if frozen && op.Access != AccessRead {
+		o.answer(c, msg.InvokeRep{Status: msg.StatusFrozen, Data: []byte("representation is frozen")})
 		return
 	}
+	c.resolved = op
+	o.sched.Lock()
+	if o.state == stDown {
+		moved := o.movedTo
+		o.sched.Unlock()
+		o.answer(c, o.k.downReply(o.id, moved))
+		return
+	}
+	q := &o.adm.sharedQ
 	switch op.Access {
 	case AccessRead:
-		if len(cs.readQ) >= o.k.cfg.AdmissionQueue {
-			o.shedFull(c)
-			return
-		}
-		cs.readQ = append(cs.readQ, &schedCall{c: c, op: op})
+		q = &o.adm.readQ
 	case AccessWrite:
-		if len(cs.writeQ) >= o.k.cfg.AdmissionQueue {
-			o.shedFull(c)
-			return
-		}
-		cs.writeQ = append(cs.writeQ, &schedCall{c: c, op: op})
-	default:
-		cs.spawn(op, c, AccessShared)
+		q = &o.adm.writeQ
+	}
+	if len(*q) >= o.k.cfg.AdmissionQueue {
+		o.sched.Unlock()
+		o.shedFull(c)
 		return
 	}
-	cs.schedule()
+	*q = append(*q, c)
+	o.schedule()
+	o.sched.Unlock()
 }
 
-// complete processes one reader/writer process completion and
-// reschedules. A writer that yielded and never re-acquired already
-// released its slot when the yield was processed.
-func (cs *coordState) complete(e procExit) {
-	switch e.cls {
-	case AccessRead:
-		cs.readers--
-	case AccessWrite:
-		if e.holding {
-			cs.writers--
-		}
+// downReply answers a call that reached a destroyed incarnation. One
+// retired toward a live home (a move, or a shadow superseded by a
+// fresher checkpoint) records the destination; failing that, a
+// forwarding pointer left by a later incarnation's move names it.
+// Anything else crashed. It takes k.mu, so never call it holding
+// o.sched.
+func (k *Kernel) downReply(id edenid.ID, moved uint32) msg.InvokeRep {
+	if moved != 0 {
+		return movedReply(moved)
 	}
-	cs.schedule()
+	k.mu.Lock()
+	fwd, isFwd := k.forwards[id]
+	k.mu.Unlock()
+	if isFwd {
+		return movedReply(fwd)
+	}
+	return msg.InvokeRep{Status: msg.StatusCrashed}
 }
 
-// handleYield processes one writer exclusivity transition. A release
-// frees the writer's slot for the duration of its nested invoke; a
-// re-acquisition parks in resumeQ until the object is otherwise idle.
-func (cs *coordState) handleYield(q *yieldReq) {
-	if q.grant == nil {
-		cs.writers--
-		cs.o.k.tel.writerYield.Inc()
-		cs.schedule()
+// schedule is the admission policy; the caller holds o.sched. Expired
+// calls are shed first — they cost a queue slot, never a process.
+// Nothing starts unless the incarnation is active: during a move,
+// calls wait in the queues for its outcome. Then shared calls start
+// wherever their class has room, and in strict priority order:
+// suspended writers re-acquire exclusivity (they hold partially
+// applied work and predate everything queued), a pending writer waits
+// only for running readers to drain (writer preference — queued
+// readers stay queued), writers run one exclusive admission at a time
+// in arrival order — shared by a consecutive run of commuting calls —
+// and readers fan out up to the pool bound.
+func (o *Object) schedule() {
+	a := &o.adm
+	if len(a.readQ)+len(a.writeQ)+len(a.sharedQ) > 0 {
+		now := time.Now()
+		a.readQ = o.shedExpired(a.readQ, now)
+		a.writeQ = o.shedExpired(a.writeQ, now)
+		a.sharedQ = o.shedExpired(a.sharedQ, now)
+	}
+	if o.state != stActive {
 		return
 	}
-	cs.resumeQ = append(cs.resumeQ, q)
-	cs.schedule()
-}
-
-// schedule is the reader/writer admission policy. Expired calls are
-// shed first — they cost a queue slot, never a process. Then, in
-// strict priority order: suspended writers re-acquire exclusivity
-// (they hold partially applied work and predate everything queued),
-// a pending writer waits only for running readers to drain (writer
-// preference — queued readers stay queued), writers run one exclusive
-// admission at a time in arrival order — shared by a consecutive run
-// of commuting calls — and readers fan out up to the pool bound.
-func (cs *coordState) schedule() {
-	cs.shedExpired()
-	for len(cs.resumeQ) > 0 {
-		if cs.writers > 0 || cs.readers > 0 {
+	a.sharedQ = o.startRunnable(a.sharedQ, AccessShared)
+	if len(a.resumeQ) > 0 {
+		if a.writers > 0 || a.readers > 0 {
 			return // re-acquisition waits for the object to go idle
 		}
-		granted, keep := cs.regrant(cs.resumeQ[0])
-		if keep {
-			return // mid-move: stays parked until abort or commit
-		}
-		cs.resumeQ = cs.resumeQ[1:]
-		if granted {
-			cs.writers++
-		}
-	}
-	if cs.writers > 0 {
+		grant := a.resumeQ[0]
+		a.resumeQ = a.resumeQ[1:]
+		a.writers++
+		o.running++
+		o.lastInvoked = o.k.tick.Add(1)
+		grant <- true
 		return
 	}
-	for len(cs.writeQ) > 0 && cs.readers == 0 && cs.writers == 0 {
-		sc := cs.writeQ[0]
-		cs.writeQ = cs.writeQ[1:]
-		if !cs.spawn(sc.op, sc.c, AccessWrite) {
-			continue
-		}
-		cs.writers++
-		if sc.op.Commutes {
-			cs.batchCommuting(sc.op)
-		}
-		break
-	}
-	if cs.writers > 0 || len(cs.writeQ) > 0 {
+	if a.writers > 0 {
 		return
 	}
-	for len(cs.readQ) > 0 && cs.readers < cs.o.k.cfg.ReaderPool {
-		sc := cs.readQ[0]
-		cs.readQ = cs.readQ[1:]
-		if cs.spawn(sc.op, sc.c, AccessRead) {
-			cs.readers++
-		}
-	}
-}
-
-// batchCommuting extends a freshly granted exclusive admission to the
-// consecutive run of queued calls for the same Commutes operation:
-// their effects commute by declaration, so running them concurrently
-// preserves writer exclusivity toward everything else while their
-// handler latencies overlap. The run stops at the first queued call
-// for a different operation (order toward non-commuting work is
-// preserved), at the batch bound, or when a lifecycle re-check fails.
-func (cs *coordState) batchCommuting(op *Operation) {
-	for len(cs.writeQ) > 0 && cs.writers < maxWriteBatch && cs.writeQ[0].op == op {
-		sc := cs.writeQ[0]
-		cs.writeQ = cs.writeQ[1:]
-		if !cs.spawn(sc.op, sc.c, AccessWrite) {
+	if len(a.writeQ) > 0 {
+		if a.readers > 0 || !a.classFree(a.writeQ[0]) {
 			return
 		}
-		cs.writers++
-		cs.o.k.tel.writeBatched.Inc()
-	}
-}
-
-// regrant attempts to restore exclusivity to one suspended writer,
-// re-checking lifecycle state under the lock exactly like spawn: the
-// incarnation may have moved or died while the writer was away, and
-// resuming into a shipped representation would fork the object.
-func (cs *coordState) regrant(q *yieldReq) (granted, keep bool) {
-	o := cs.o
-	o.sched.Lock()
-	switch o.state {
-	case stMoving:
-		// The move may still abort; keep the writer parked until the
-		// coordinator learns the outcome (resume ping or down).
-		o.sched.Unlock()
-		return false, true
-	case stDown:
-		o.sched.Unlock()
-		q.grant <- false
-		return false, false
-	}
-	o.running++
-	o.lastInvoked = o.k.tick.Add(1)
-	o.sched.Unlock()
-	q.grant <- true
-	return true, false
-}
-
-// shedExpired drops queued calls whose caller deadline has passed:
-// the caller has already given up, so dispatching a process for the
-// call would only burn a virtual processor on a reply nobody reads.
-func (cs *coordState) shedExpired() {
-	if len(cs.readQ) == 0 && len(cs.writeQ) == 0 {
+		op := a.writeQ[0].resolved
+		o.start(a.writeQ[0], AccessWrite)
+		a.writeQ = a.writeQ[1:]
+		// A consecutive run of queued calls for the same Commutes
+		// operation joins the admission: their effects commute by
+		// declaration, so running them concurrently preserves
+		// exclusivity toward everything else while their handler
+		// latencies overlap. The run stops at the first call for a
+		// different operation (order toward non-commuting work is
+		// preserved), at the batch bound, or at the class limit.
+		for op.Commutes && len(a.writeQ) > 0 && a.writers < maxWriteBatch &&
+			a.writeQ[0].resolved == op && a.classFree(a.writeQ[0]) {
+			o.start(a.writeQ[0], AccessWrite)
+			a.writeQ = a.writeQ[1:]
+			o.k.tel.writeBatched.Inc()
+		}
 		return
 	}
-	now := time.Now()
-	cs.readQ = cs.shedQueue(cs.readQ, now)
-	cs.writeQ = cs.shedQueue(cs.writeQ, now)
+	a.readQ = o.startRunnable(a.readQ, AccessRead)
 }
 
-func (cs *coordState) shedQueue(q []*schedCall, now time.Time) []*schedCall {
+// startRunnable starts, in arrival order, every queued call whose class
+// has room — and, for readers, a pool slot — and returns the calls left
+// waiting. A call held back by its class limit does not hold back calls
+// of other classes queued behind it.
+func (o *Object) startRunnable(q []*callCtx, cls Access) []*callCtx {
 	kept := q[:0]
-	for _, sc := range q {
-		if !sc.c.deadline.IsZero() && now.After(sc.c.deadline) {
-			cs.o.shed(sc.c)
+	for _, c := range q {
+		if (cls == AccessRead && o.adm.readers >= o.k.cfg.ReaderPool) || !o.adm.classFree(c) {
+			kept = append(kept, c)
 			continue
 		}
-		kept = append(kept, sc)
+		o.start(c, cls)
 	}
-	// Zero the tail so shed entries do not linger reachable.
-	for i := len(kept); i < len(q); i++ {
-		q[i] = nil
-	}
+	clear(q[len(kept):])
 	return kept
 }
 
-// shed rejects one expired call with StatusTimeout and counts it.
-func (o *Object) shed(c *callCtx) {
-	o.unqueue(c)
-	o.k.tel.admissionShed.Inc()
-	c.reply(msg.InvokeRep{Status: msg.StatusTimeout})
+// classFree reports whether the call's invocation class has room for
+// one more process.
+func (a *admission) classFree(c *callCtx) bool {
+	lim, limited := a.classLim[c.resolved.Class]
+	return !limited || a.classRun[c.resolved.Class] < lim
 }
 
-// shedFull rejects one call because the object's admission queue hit
+// start dispatches one process for a queued call: "in the normal case,
+// a new process will be created and assigned the invocation". The
+// caller holds o.sched, has checked the call's class has room, and
+// removes the call from its queue.
+func (o *Object) start(c *callCtx, cls Access) {
+	switch cls {
+	case AccessRead:
+		o.adm.readers++
+	case AccessWrite:
+		o.adm.writers++
+	}
+	if _, limited := o.adm.classLim[c.resolved.Class]; limited {
+		o.adm.classRun[c.resolved.Class]++
+	}
+	o.running++
+	o.lastInvoked = o.k.tick.Add(1)
+	o.unqueue(c)
+	go o.runProcess(c, cls)
+}
+
+// shedExpired drops queued calls whose caller deadline has passed: the
+// caller has already given up, so dispatching a process for the call
+// would only burn a virtual processor on a reply nobody reads.
+func (o *Object) shedExpired(q []*callCtx, now time.Time) []*callCtx {
+	kept := q[:0]
+	for _, c := range q {
+		if !c.deadline.IsZero() && now.After(c.deadline) {
+			o.k.tel.admissionShed.Inc()
+			o.answer(c, msg.InvokeRep{Status: msg.StatusTimeout})
+			continue
+		}
+		kept = append(kept, c)
+	}
+	// Zero the tail so shed entries do not linger reachable.
+	clear(q[len(kept):])
+	return kept
+}
+
+// shedFull rejects one call because its admission queue hit
 // Config.AdmissionQueue: the queue sheds at the door rather than
 // growing without bound, matching the transport's bounded send queues.
 // Counted under kernel.admission.queue.full (disjoint from
 // kernel.admission.shed, which counts deadline expiry).
 func (o *Object) shedFull(c *callCtx) {
-	o.unqueue(c)
 	o.k.tel.queueFull.Inc()
-	c.reply(msg.InvokeRep{Status: msg.StatusTimeout})
+	o.answer(c, msg.InvokeRep{Status: msg.StatusTimeout})
 }
 
-// spawn dispatches one process for a validated call, re-checking
-// lifecycle state under the lock so a queued call cannot start
-// executing against an incarnation that began moving or was destroyed
-// after the call was admitted. It reports whether a process started.
-func (cs *coordState) spawn(op *Operation, c *callCtx, cls Access) bool {
-	o := cs.o
-	o.sched.Lock()
-	switch o.state {
-	case stMoving:
-		o.sched.Unlock()
-		cs.held = append(cs.held, c)
-		return false
-	case stDown:
-		moved := o.movedTo
-		o.sched.Unlock()
-		o.unqueue(c)
-		if moved != 0 {
-			c.reply(movedReply(moved))
-		} else {
-			c.reply(msg.InvokeRep{Status: msg.StatusCrashed})
-		}
-		return false
-	}
-	o.running++
-	o.lastInvoked = o.k.tick.Add(1)
-	o.sched.Unlock()
+// answer replies to a call that leaves admission without a process.
+func (o *Object) answer(c *callCtx, rep msg.InvokeRep) {
 	o.unqueue(c)
-	go o.runProcess(op, c, cls)
-	return true
-}
-
-// drain answers everything queued or held so no invoker hangs until
-// its timeout: the reader pool and writer queue quiesce along with the
-// incarnation.
-func (cs *coordState) drain() {
-	o := cs.o
-	o.sched.Lock()
-	moved := o.state == stMoving || o.movedTo != 0
-	dest := o.movedTo
-	o.sched.Unlock()
-	for {
-		select {
-		case c := <-o.inbox:
-			cs.held = append(cs.held, c)
-			continue
-		default:
-		}
-		break
-	}
-	for _, sc := range cs.readQ {
-		cs.held = append(cs.held, sc.c)
-	}
-	for _, sc := range cs.writeQ {
-		cs.held = append(cs.held, sc.c)
-	}
-	for _, c := range cs.held {
-		o.unqueue(c)
-		if moved && dest != 0 {
-			c.reply(movedReply(dest))
-		} else {
-			c.reply(msg.InvokeRep{Status: msg.StatusCrashed})
-		}
-	}
-	// Suspended writers parked for re-acquisition observe the terminal
-	// state: their Call.Invoke returns the lifecycle error instead of
-	// resuming into a shipped or destroyed representation.
-	for _, q := range cs.resumeQ {
-		q.grant <- false
-	}
-	cs.resumeQ = nil
+	c.reply(rep)
 }
 
 // unqueue settles the call's admission-queue depth charge. Safe to
@@ -735,14 +558,12 @@ func movedDest(rep msg.InvokeRep) (uint32, bool) {
 		uint32(rep.Data[2])<<8 | uint32(rep.Data[3]), true
 }
 
-// runProcess executes one invocation: acquire the class gate, run the
-// handler, and reply. "In the normal case, a new process will be
-// created and assigned the invocation." Reader and writer processes
-// report completion to the coordinator so the next calls can be
-// scheduled.
+// runProcess executes one invocation: run the handler, reply, then
+// settle the process's admission slots and schedule what they free.
 //
-//edenvet:ignore rightsgate arrive verifies Invoke plus the operation's declared rights on the coordinator before the call is scheduled
-func (o *Object) runProcess(op *Operation, c *callCtx, cls Access) {
+//edenvet:ignore rightsgate admit verifies Invoke plus the operation's declared rights before the call is queued
+func (o *Object) runProcess(c *callCtx, cls Access) {
+	op := c.resolved
 	o.k.tel.serveConc.Add(1)
 	call := &Call{
 		k:         o.k,
@@ -755,38 +576,6 @@ func (o *Object) runProcess(op *Operation, c *callCtx, cls Access) {
 		access:    cls,
 		holding:   true,
 	}
-	defer func() {
-		o.k.tel.serveConc.Add(-1)
-		// A writer that yielded for a nested invoke and never got
-		// exclusivity back already left the running count and released
-		// its slot; settling either again would double-free.
-		if call.holding {
-			o.sched.Lock()
-			o.running--
-			if o.running == 0 {
-				o.drained.Broadcast()
-			}
-			o.sched.Unlock()
-		}
-		if cls == AccessRead || cls == AccessWrite {
-			// Buffered past the pool and batch bounds; never blocks,
-			// even after the coordinator exited at teardown.
-			o.procDone <- procExit{cls: cls, holding: call.holding}
-		}
-	}()
-
-	if tok := o.classTok[op.Class]; tok != nil {
-		// Class admission: at most `limit` processes service this
-		// class concurrently; the rest queue here. A limit of one
-		// yields mutual exclusion among the class's operations.
-		select {
-		case tok <- struct{}{}:
-			defer func() { <-tok }()
-		case <-o.down:
-			c.reply(msg.InvokeRep{Status: msg.StatusCrashed})
-			return
-		}
-	}
 	func() {
 		defer func() {
 			if r := recover(); r != nil {
@@ -796,6 +585,7 @@ func (o *Object) runProcess(op *Operation, c *callCtx, cls Access) {
 		}()
 		op.Handler(call)
 	}()
+	o.k.tel.serveConc.Add(-1)
 
 	// A crash that happened while the handler ran destroys its result:
 	// the invoker sees the crash, not a reply from a dead incarnation.
@@ -804,9 +594,37 @@ func (o *Object) runProcess(op *Operation, c *callCtx, cls Access) {
 	o.sched.Unlock()
 	if crashed {
 		c.reply(msg.InvokeRep{Status: msg.StatusCrashed})
-		return
+	} else {
+		c.reply(msg.InvokeRep{Status: call.status, Data: call.replyData, Caps: call.replyCaps})
 	}
-	c.reply(msg.InvokeRep{Status: call.status, Data: call.replyData, Caps: call.replyCaps})
+
+	// The reply goes out before the slots are settled, so the invoker
+	// can act on it (commit what it just prepared, say) before the
+	// calls waiting for those slots start. Settling first hands the
+	// waiting calls a head start, and optimistic retry loops contending
+	// for one object then burn their attempts on conflicts.
+	o.sched.Lock()
+	// A writer that yielded for a nested invoke and never got
+	// exclusivity back already left the running count and released its
+	// slot; settling either again would double-free. Its class slot was
+	// held throughout.
+	if call.holding {
+		o.running--
+		if o.running == 0 {
+			o.drained.Broadcast()
+		}
+		switch cls {
+		case AccessRead:
+			o.adm.readers--
+		case AccessWrite:
+			o.adm.writers--
+		}
+	}
+	if _, limited := o.adm.classLim[op.Class]; limited {
+		o.adm.classRun[op.Class]--
+	}
+	o.schedule()
+	o.sched.Unlock()
 }
 
 // reply delivers the invocation outcome exactly once.
@@ -882,7 +700,7 @@ func (c *Call) Fail(format string, args ...interface{}) {
 
 // Invoke performs a nested invocation from inside this operation's
 // process. For an AccessWrite process the object's exclusivity is
-// released across the wait — the coordinator may admit readers, other
+// released across the wait — admission may start readers, other
 // writers, a checkpoint, a passivation, even a move — and re-acquired
 // before the handler resumes, so a writer blocked on another object
 // no longer holds its home object idle end-to-end. Re-acquisition
@@ -920,9 +738,8 @@ func (c *Call) InvokeAsync(target capability.Capability, operation string, data 
 
 // yieldExclusivity releases a writer's exclusive slot: the process
 // leaves the running count (so a move's or passivation's quiesce can
-// proceed) and tells the coordinator to free the admission. The
-// coordinator may already be gone at teardown; the down channel
-// covers that.
+// proceed) and admission schedules what the slot frees. The process
+// keeps its class slot across the nested wait.
 func (c *Call) yieldExclusivity() {
 	o := c.self
 	c.holding = false
@@ -931,35 +748,26 @@ func (c *Call) yieldExclusivity() {
 	if o.running == 0 {
 		o.drained.Broadcast()
 	}
+	o.adm.writers--
+	o.k.tel.writerYield.Inc()
+	o.schedule()
 	o.sched.Unlock()
-	select {
-	case o.yield <- &yieldReq{}:
-	case <-o.down:
-	}
 }
 
-// reacquireExclusivity parks the writer at the coordinator until the
-// object is idle again and lifecycle state permits resumption.
+// reacquireExclusivity parks the writer in admission's resume queue
+// until the object is idle again and lifecycle state permits
+// resumption; destruction answers the park with false.
 func (c *Call) reacquireExclusivity() error {
 	o := c.self
-	q := &yieldReq{grant: make(chan bool, 1)}
-	select {
-	case o.yield <- q:
-	case <-o.down:
-		return c.lostExclusivity()
+	grant := make(chan bool, 1)
+	o.sched.Lock()
+	down := o.state == stDown
+	if !down {
+		o.adm.resumeQ = append(o.adm.resumeQ, grant)
+		o.schedule()
 	}
-	var ok bool
-	select {
-	case ok = <-q.grant:
-	case <-o.down:
-		// The coordinator's drain answers parked requests; prefer its
-		// verdict if it raced the down observation.
-		select {
-		case ok = <-q.grant:
-		default:
-		}
-	}
-	if !ok {
+	o.sched.Unlock()
+	if down || !<-grant {
 		return c.lostExclusivity()
 	}
 	c.holding = true

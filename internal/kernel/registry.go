@@ -9,9 +9,11 @@
 // locator) and long-term storage (package store).
 //
 // The mapping from the paper's iAPX-432 machinery to Go is direct:
-// Eden processes are goroutines, ports are channels, and each active
-// object's coordinator is a goroutine owning the object's dispatch
-// state.
+// Eden processes are goroutines and ports are channels. The
+// coordinator is a role, not a thread: each active object's admission
+// state lives in the Object under one lock, and whichever goroutine
+// delivers an invocation, finishes a process or changes the object's
+// lifecycle drives it.
 package kernel
 
 import (
@@ -27,10 +29,10 @@ import (
 const DefaultClass = "default"
 
 // Access is an operation's declared access class: how its processes
-// may share the object's representation. The coordinator schedules
-// each invocation by this declaration — the paper's "tree of
-// processes" synchronized by the kernel rather than by every caller
-// serializing through one dispatch loop.
+// may share the object's representation. Admission schedules each
+// invocation by this declaration — the paper's "tree of processes"
+// synchronized by the kernel rather than by every caller serializing
+// through one dispatch loop.
 type Access uint8
 
 const (
@@ -70,7 +72,7 @@ func (a Access) String() string {
 }
 
 // Handler is the body of one operation, executed by a process (a
-// goroutine) dispatched by the object's coordinator. The handler
+// goroutine) dispatched by the object's admission. The handler
 // reads parameters from and writes results to the Call.
 type Handler func(c *Call)
 
@@ -88,20 +90,17 @@ type Operation struct {
 	// Rights are the rights, beyond rights.Invoke, that the invoking
 	// capability must carry.
 	Rights rights.Set
-	// Access is the operation's declared access class; it drives the
-	// coordinator's reader/writer scheduling. The zero value
-	// (AccessShared) preserves monitor-synchronized concurrency.
-	// Setting ReadOnly implies AccessRead, and vice versa; Op
-	// normalizes the pair.
+	// Access is the operation's declared access class; it drives
+	// admission's reader/writer scheduling. The zero value
+	// (AccessShared) preserves monitor-synchronized concurrency. Only
+	// AccessRead operations may be served by a replica on another node
+	// or invoked on a frozen object.
 	Access Access
-	// ReadOnly marks operations that do not mutate the representation;
-	// only these may be served by a frozen replica on another node.
-	ReadOnly bool
 	// Commutes declares that concurrent executions of this operation
 	// on one object commute — any interleaving of their effects yields
-	// the same representation. The coordinator batches a consecutive
-	// run of queued invocations of a commuting operation into one
-	// exclusive admission and runs them concurrently. Only legal with
+	// the same representation. Admission batches a consecutive run of
+	// queued invocations of a commuting operation into one exclusive
+	// admission and runs them concurrently. Only legal with
 	// AccessWrite: readers already run concurrently, and shared
 	// operations schedule outside the reader/writer queues entirely.
 	Commutes bool
@@ -165,21 +164,10 @@ func (t *TypeManager) Op(op Operation) *TypeManager {
 	if op.Class == "" {
 		op.Class = DefaultClass
 	}
-	// Normalize the two read-only declarations: ReadOnly (the replica-
-	// serving flag) and AccessRead (the scheduling class) imply each
-	// other; a ReadOnly writer is a static contradiction.
-	if op.ReadOnly && op.Access == AccessWrite {
-		panic(fmt.Sprintf("kernel: operation %q on type %q is ReadOnly but declares AccessWrite", op.Name, t.Name))
-	}
-	if op.ReadOnly {
-		op.Access = AccessRead
-	} else if op.Access == AccessRead {
-		op.ReadOnly = true
-	}
 	// Commutativity is a property of concurrent mutations; on anything
 	// but an exclusive writer the declaration is meaningless and most
-	// likely a mistake, so it is rejected like the ReadOnly/AccessWrite
-	// contradiction. (The accesspurity analyzer mirrors this check.)
+	// likely a mistake, so it is rejected. (The accesspurity analyzer
+	// mirrors this check.)
 	if op.Commutes && op.Access != AccessWrite {
 		panic(fmt.Sprintf("kernel: operation %q on type %q declares Commutes without AccessWrite", op.Name, t.Name))
 	}
@@ -211,12 +199,11 @@ func NewRegistry() *Registry {
 }
 
 // Register installs a type manager. Registering a name twice is an
-// error (types are immutable once published), and so is an operation
-// declaring ReadOnly: true alongside Access: AccessWrite — a
-// hand-built Operations map bypasses Op's validation, and the reader
-// pool and replica serving both trust these declarations completely.
-// The consistent pair is normalized the same way Op normalizes it.
-// (The accesspurity analyzer is the static mirror of this check.)
+// error (types are immutable once published), and so is a nil
+// operation or one declaring Commutes without AccessWrite — a
+// hand-built Operations map bypasses Op's validation, and admission
+// trusts these declarations completely. (The accesspurity analyzer is
+// the static mirror of the Commutes check.)
 func (r *Registry) Register(t *TypeManager) error {
 	if t == nil || t.Name == "" {
 		return fmt.Errorf("kernel: registering unnamed type")
@@ -224,14 +211,6 @@ func (r *Registry) Register(t *TypeManager) error {
 	for name, op := range t.Operations {
 		if op == nil {
 			return fmt.Errorf("kernel: type %q registers nil operation %q", t.Name, name)
-		}
-		if op.ReadOnly && op.Access == AccessWrite {
-			return fmt.Errorf("kernel: operation %q on type %q is ReadOnly but declares AccessWrite", name, t.Name)
-		}
-		if op.ReadOnly {
-			op.Access = AccessRead
-		} else if op.Access == AccessRead {
-			op.ReadOnly = true
 		}
 		if op.Commutes && op.Access != AccessWrite {
 			return fmt.Errorf("kernel: operation %q on type %q declares Commutes without AccessWrite", name, t.Name)

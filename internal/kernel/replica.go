@@ -82,7 +82,7 @@ func (k *Kernel) replicaShadow(id edenid.ID) *Object {
 	}
 	// The shadow is constructed frozen: it is a snapshot, and freezing
 	// makes even a mis-registered mutating handler fail at Update. The
-	// coordinator's replica gate refuses anything not AccessRead before
+	// admission replica gate refuses anything not AccessRead before
 	// that can matter.
 	obj := k.newObject(id, tm, rep, rec.Version, true)
 	obj.epoch = normEpoch(rec.Epoch)
@@ -112,7 +112,6 @@ func (k *Kernel) replicaShadow(id edenid.ID) *Object {
 	if old != nil {
 		go old.destroyActiveState(home)
 	}
-	go obj.coordinate()
 	k.stReplicas.Add(1)
 	return obj
 }

@@ -169,9 +169,8 @@ func TestReplicaServesWhileHomeDown(t *testing.T) {
 // TestReplicaRefusesNonReadOps checks the runtime guard from both
 // sides: a mutating operation steered at a shadow bounces to the home
 // and still succeeds there, and an operation whose registration was
-// corrupted after the fact (ReadOnly but not AccessRead) is refused by
-// the coordinator's gate even though it would pass a naive ReadOnly
-// check.
+// changed after the fact (no longer AccessRead) is refused by the
+// admission replica gate.
 func TestReplicaRefusesNonReadOps(t *testing.T) {
 	s := replicaSys(t)
 	cap, err := s.ks[1].Create("counter", &CreateOptions{
@@ -204,9 +203,9 @@ func TestReplicaRefusesNonReadOps(t *testing.T) {
 		t.Error("shadow accepted a mutating operation without bouncing")
 	}
 
-	// Corrupt the registered operation so ReadOnly and Access
-	// contradict (mirrors what Register rejects at registration time);
-	// the coordinator's replica gate must refuse it, not serve it.
+	// Change the registered operation's access class after
+	// registration; the admission replica gate must refuse it, not
+	// serve it.
 	tm, err := s.reg.Lookup("counter")
 	if err != nil {
 		t.Fatal(err)
@@ -286,8 +285,8 @@ func slowReadType() *TypeManager {
 		})
 	}
 	tm.Op(Operation{
-		Name:     "read",
-		ReadOnly: true,
+		Name:   "read",
+		Access: AccessRead,
 		Handler: func(c *Call) {
 			c.Self().View(func(r *segment.Representation) {
 				time.Sleep(60 * time.Millisecond)

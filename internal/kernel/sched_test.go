@@ -1,13 +1,14 @@
 package kernel
 
-// Tests for the reader/writer coordinator and deadline-aware
-// admission: access-class normalization, concurrent read fan-out, the
-// reader-pool bound, writer exclusivity and preference, deadline
-// shedding, virtual-processor exhaustion accounting, and the
-// reader/writer/checkpoint consistency stress.
+// Tests for reader/writer scheduling and deadline-aware admission:
+// access-class defaults, concurrent read fan-out, the reader-pool
+// bound, writer exclusivity and preference, deadline shedding and the
+// queue cap on every access class, virtual-processor exhaustion
+// accounting, and the reader/writer/checkpoint consistency stress.
 
 import (
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -58,30 +59,15 @@ func eventually(t *testing.T, cond func() bool, what string) {
 func TestAccessNormalization(t *testing.T) {
 	nop := func(c *Call) {}
 	tm := NewType("norm")
-	tm.Op(Operation{Name: "ro", ReadOnly: true, Handler: nop})
 	tm.Op(Operation{Name: "ar", Access: AccessRead, Handler: nop})
-	tm.Op(Operation{Name: "w", Access: AccessWrite, Handler: nop})
 	tm.Op(Operation{Name: "s", Handler: nop})
 
-	if got := tm.Operations["ro"].Access; got != AccessRead {
-		t.Errorf("ReadOnly op normalized to access %v, want %v", got, AccessRead)
-	}
-	if !tm.Operations["ar"].ReadOnly {
-		t.Error("AccessRead op should imply ReadOnly (replica-servable)")
-	}
-	if tm.Operations["w"].ReadOnly {
-		t.Error("AccessWrite op must not be ReadOnly")
+	if got := tm.Operations["ar"].Access; got != AccessRead {
+		t.Errorf("declared access = %v, want %v", got, AccessRead)
 	}
 	if got := tm.Operations["s"].Access; got != AccessShared {
 		t.Errorf("default access = %v, want %v", got, AccessShared)
 	}
-
-	defer func() {
-		if recover() == nil {
-			t.Error("ReadOnly+AccessWrite contradiction should panic")
-		}
-	}()
-	tm.Op(Operation{Name: "bad", ReadOnly: true, Access: AccessWrite, Handler: nop})
 }
 
 // sleepType's "sleep" op parses its data as a duration and sleeps.
@@ -378,49 +364,120 @@ func TestWriterPreference(t *testing.T) {
 }
 
 // TestAdmissionShedsExpiredQueuedCalls checks that a call whose caller
-// deadline expires while queued behind a writer is shed — counted in
-// kernel.admission.shed, never dispatched — and that the queue-depth
-// gauge settles back to zero.
+// deadline expires while queued — behind a writer, or behind a shared
+// call holding its class's only slot — is shed: counted in
+// kernel.admission.shed, never dispatched, and the queue-depth gauge
+// settles back to zero.
 func TestAdmissionShedsExpiredQueuedCalls(t *testing.T) {
-	k, reg, tel := newSchedKernel(t, nil)
-	var executed atomic.Int64
-	tm := NewType("shed")
-	tm.Op(Operation{Name: "hold", Access: AccessWrite, Handler: func(c *Call) {
-		executed.Add(1)
-		d, _ := time.ParseDuration(string(c.Data))
-		time.Sleep(d)
-	}})
-	if err := reg.Register(tm); err != nil {
-		t.Fatal(err)
-	}
-	cp, err := k.Create("shed", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	for _, access := range []Access{AccessWrite, AccessShared} {
+		t.Run(access.String(), func(t *testing.T) {
+			k, reg, tel := newSchedKernel(t, nil)
+			var executed atomic.Int64
+			tm := NewType("shed")
+			tm.Op(Operation{Name: "hold", Access: access, Class: "gate", Handler: func(c *Call) {
+				executed.Add(1)
+				d, _ := time.ParseDuration(string(c.Data))
+				time.Sleep(d)
+			}})
+			tm.Limit("gate", 1)
+			if err := reg.Register(tm); err != nil {
+				t.Fatal(err)
+			}
+			cp, err := k.Create("shed", nil)
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		_, _ = k.Invoke(cp, "hold", []byte("300ms"), nil, &InvokeOptions{Timeout: 5 * time.Second})
-	}()
-	time.Sleep(50 * time.Millisecond)
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				_, _ = k.Invoke(cp, "hold", []byte("300ms"), nil, &InvokeOptions{Timeout: 5 * time.Second})
+			}()
+			time.Sleep(50 * time.Millisecond)
 
-	// Queued behind a 300ms writer with a 100ms budget: the caller
-	// times out, and the coordinator sheds the stale call instead of
-	// executing it.
-	_, err = k.Invoke(cp, "hold", []byte("1ms"), nil, &InvokeOptions{Timeout: 100 * time.Millisecond})
-	if !errors.Is(err, ErrTimeout) {
-		t.Fatalf("err = %v, want ErrTimeout", err)
-	}
-	<-done
+			// Queued behind a 300ms hold with a 100ms budget: the caller
+			// times out, and admission sheds the stale call instead of
+			// executing it.
+			_, err = k.Invoke(cp, "hold", []byte("1ms"), nil, &InvokeOptions{Timeout: 100 * time.Millisecond})
+			if !errors.Is(err, ErrTimeout) {
+				t.Fatalf("err = %v, want ErrTimeout", err)
+			}
+			<-done
 
-	eventually(t, func() bool { return tel.Counter(metricAdmissionShed).Value() == 1 },
-		"expired queued call counted in kernel.admission.shed")
-	eventually(t, func() bool { return tel.Gauge(metricAdmissionDepth).Value() == 0 },
-		"admission queue depth gauge returns to zero")
-	if got := executed.Load(); got != 1 {
-		t.Errorf("%d holds executed, want 1 (the expired call must never run)", got)
+			eventually(t, func() bool { return tel.Counter(metricAdmissionShed).Value() == 1 },
+				"expired queued call counted in kernel.admission.shed")
+			eventually(t, func() bool { return tel.Gauge(metricAdmissionDepth).Value() == 0 },
+				"admission queue depth gauge returns to zero")
+			if got := executed.Load(); got != 1 {
+				t.Errorf("%d holds executed, want 1 (the expired call must never run)", got)
+			}
+		})
 	}
+}
+
+// TestAdmissionBoundsOverload is the overload regression test: 500
+// callers with a 20ms budget against a 2ms handler whose class admits
+// one process at a time. Every access class must shed what its callers
+// abandoned — a few handlers run, not all 500 — and leave no goroutine
+// parked once the callers have returned. A shared class must also
+// respect the AdmissionQueue cap.
+func TestAdmissionBoundsOverload(t *testing.T) {
+	const callers = 500
+	overload := func(t *testing.T, access Access, queueCap int) (executed int64, tel *telemetry.Registry) {
+		k, reg, tel := newSchedKernel(t, func(c *Config) { c.AdmissionQueue = queueCap })
+		var ran atomic.Int64
+		tm := NewType("overload")
+		tm.Op(Operation{Name: "op", Access: access, Class: "one", Handler: func(c *Call) {
+			ran.Add(1)
+			time.Sleep(2 * time.Millisecond)
+		}})
+		tm.Limit("one", 1)
+		if err := reg.Register(tm); err != nil {
+			t.Fatal(err)
+		}
+		cp, err := k.Create("overload", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		baseline := runtime.NumGoroutine()
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for i := 0; i < callers; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				_, _ = k.Invoke(cp, "op", nil, nil, &InvokeOptions{Timeout: 20 * time.Millisecond})
+			}()
+		}
+		close(start)
+		wg.Wait()
+		// Draining the abandoned calls one 2ms handler at a time would
+		// take about a second; shedding them takes one handler.
+		deadline := time.Now().Add(250 * time.Millisecond)
+		for runtime.NumGoroutine() > baseline+5 && time.Now().Before(deadline) {
+			time.Sleep(5 * time.Millisecond)
+		}
+		if n := runtime.NumGoroutine(); n > baseline+5 {
+			t.Errorf("%d goroutines still parked after every caller returned (baseline %d)", n-baseline, baseline)
+		}
+		return ran.Load(), tel
+	}
+	for _, access := range []Access{AccessShared, AccessRead, AccessWrite} {
+		t.Run(access.String(), func(t *testing.T) {
+			ran, _ := overload(t, access, 0)
+			t.Logf("%d of %d handlers ran", ran, callers)
+			if ran > 25 {
+				t.Errorf("%d handlers ran for %d callers that gave up after 20ms; want at most 25", ran, callers)
+			}
+		})
+	}
+	t.Run("shared-queue-cap", func(t *testing.T) {
+		_, tel := overload(t, AccessShared, 16)
+		if tel.Counter(metricQueueFull).Value() == 0 {
+			t.Errorf("%s never counted: shared calls bypassed the AdmissionQueue cap", metricQueueFull)
+		}
+	})
 }
 
 // TestVprocExhaustionReconciles saturates the virtual-processor pool

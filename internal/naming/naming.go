@@ -124,9 +124,9 @@ func RegisterType(reg *kernel.Registry) error {
 	})
 
 	tm.Op(kernel.Operation{
-		Name:     "lookup",
-		Class:    "read",
-		ReadOnly: true,
+		Name:   "lookup",
+		Class:  "read",
+		Access: kernel.AccessRead,
 		Handler: func(c *kernel.Call) {
 			name := string(c.Data)
 			var found capability.Capability
@@ -145,9 +145,9 @@ func RegisterType(reg *kernel.Registry) error {
 	})
 
 	tm.Op(kernel.Operation{
-		Name:     "list",
-		Class:    "read",
-		ReadOnly: true,
+		Name:   "list",
+		Class:  "read",
+		Access: kernel.AccessRead,
 		Handler: func(c *kernel.Call) {
 			var names []string
 			c.Self().View(func(r *segment.Representation) {

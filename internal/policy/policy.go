@@ -184,8 +184,8 @@ func RegisterType(reg *kernel.Registry) error {
 	})
 
 	tm.Op(kernel.Operation{
-		Name:     "loads",
-		ReadOnly: true,
+		Name:   "loads",
+		Access: kernel.AccessRead,
 		Handler: func(c *kernel.Call) {
 			c.Self().View(func(r *segment.Representation) {
 				pool := readPool(r)

@@ -22,7 +22,7 @@ func testSys(t *testing.T, nodes ...uint32) (map[uint32]*kernel.Kernel, *kernel.
 	}
 	// A subject type to place around.
 	subj := kernel.NewType("subject")
-	subj.Op(kernel.Operation{Name: "ping", ReadOnly: true, Handler: func(c *kernel.Call) { c.Return([]byte("pong")) }})
+	subj.Op(kernel.Operation{Name: "ping", Access: kernel.AccessRead, Handler: func(c *kernel.Call) { c.Return([]byte("pong")) }})
 	if err := reg.Register(subj); err != nil {
 		t.Fatal(err)
 	}

@@ -54,8 +54,8 @@ func registerCounter(t *testing.T, sys *System) {
 		},
 	})
 	tm.Op(Operation{
-		Name:     "get",
-		ReadOnly: true,
+		Name:   "get",
+		Access: AccessRead,
 		Handler: func(c *Call) {
 			c.Self().View(func(r *Representation) {
 				b, _ := r.Data("n")

@@ -9,9 +9,9 @@ import (
 func echoType() *TypeManager {
 	tm := NewType("echo")
 	tm.Op(Operation{
-		Name:     "ping",
-		ReadOnly: true,
-		Handler:  func(c *Call) { c.Return(c.Data) },
+		Name:    "ping",
+		Access:  AccessRead,
+		Handler: func(c *Call) { c.Return(c.Data) },
 	})
 	return tm
 }
